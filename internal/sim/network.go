@@ -64,7 +64,7 @@ type Network struct {
 	// contract, not a synchronization mechanism.
 	running atomic.Bool
 
-	switches []*switchState
+	switches []switchState
 	nis      []*ni
 
 	// upAdj[s] lists s's up ports and their peers; revUp[q] lists the
@@ -215,58 +215,81 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 		n.registerKinds(&n.queue)
 	}
 
-	// Instantiate per-port structures. Every buffer and output port of a
-	// switch belongs to that switch's shard.
-	n.switches = make([]*switchState, t.NumSwitches)
-	for s := 0; s < t.NumSwitches; s++ {
-		st := &switchState{
-			inBufs:   make([]*inputBuf, t.PortsPerSwitch),
-			outPorts: make([]*outPort, t.PortsPerSwitch),
+	// Instantiate per-port, per-channel and per-host structures from a
+	// fixed set of slabs: the switch states themselves, one array each of
+	// input buffers, output ports, channels and NIs, and one pointer
+	// array per port kind sliced per switch (open ports keep nil
+	// entries). Nothing is appended to a slab after New, so the pointers
+	// into them stay valid for the network's lifetime. Every buffer and
+	// output port of a switch belongs to that switch's shard.
+	S, P := t.NumSwitches, t.PortsPerSwitch
+	wired := 0
+	for s := 0; s < S; s++ {
+		for p := 0; p < P; p++ {
+			if t.Conn[s][p].Kind != topology.Open {
+				wired++
+			}
 		}
-		n.switches[s] = st
+	}
+	bufPtrs := make([]*inputBuf, S*P)
+	portPtrs := make([]*outPort, S*P)
+	bufs := make([]inputBuf, wired)
+	ports := make([]outPort, wired)
+	chans := make([]channel, wired+t.NumNodes)
+	n.switches = make([]switchState, S)
+	k := 0
+	for s := 0; s < S; s++ {
+		st := &n.switches[s]
+		st.inBufs = bufPtrs[s*P : (s+1)*P : (s+1)*P]
+		st.outPorts = portPtrs[s*P : (s+1)*P : (s+1)*P]
 		sh := n.shardOf(topology.SwitchID(s))
-		for p := 0; p < t.PortsPerSwitch; p++ {
+		for p := 0; p < P; p++ {
 			if t.Conn[s][p].Kind == topology.Open {
 				continue
 			}
-			st.inBufs[p] = &inputBuf{net: n, sh: sh, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
-			st.outPorts[p] = &outPort{net: n, sh: sh, sw: topology.SwitchID(s), port: p}
+			bufs[k] = inputBuf{net: n, sh: sh, sw: topology.SwitchID(s), port: p, cap: params.BufferFlits}
+			ports[k] = outPort{net: n, sh: sh, sw: topology.SwitchID(s), port: p}
+			st.inBufs[p] = &bufs[k]
+			st.outPorts[p] = &ports[k]
+			k++
 		}
 	}
 
 	// Wire channels: switch output ports to their peers, and per-node
 	// injection lines. A channel is owned by its sender's shard (credit
 	// and line state are mutated on the sending side); dst records the
-	// receiving shard for the boundary evDeliver hop.
-	for s := 0; s < t.NumSwitches; s++ {
-		for p := 0; p < t.PortsPerSwitch; p++ {
-			e := t.Conn[s][p]
-			op := n.switches[s].outPorts[p]
-			switch e.Kind {
-			case topology.ToSwitch:
-				peer := n.switches[e.Switch].inBufs[e.Port]
-				op.ch = &channel{toSwitch: true, dstBuf: peer, credits: peer.cap,
-					sh: op.sh, dst: peer.sh,
-					label: fmt.Sprintf("s%dp%d->s%d", s, p, e.Switch)}
-				peer.bindUpstream(op.ch)
-			case topology.ToNode:
-				// The ejection channel's NI is homed on this switch, so
-				// ejection never crosses a shard boundary.
-				op.ch = &channel{toSwitch: false, dstNode: e.Node,
-					sh: op.sh, dst: op.sh,
-					label: fmt.Sprintf("ej n%d", e.Node)}
-			}
+	// receiving shard for the boundary evDeliver hop. Wired output port
+	// k sends on chans[k]; node i's injection line is chans[wired+i].
+	for k := range ports {
+		op, ch := &ports[k], &chans[k]
+		switch e := t.Conn[op.sw][op.port]; e.Kind {
+		case topology.ToSwitch:
+			peer := n.switches[e.Switch].inBufs[e.Port]
+			*ch = channel{toSwitch: true, dstBuf: peer, credits: peer.cap,
+				sh: op.sh, dst: peer.sh, fromSw: int32(op.sw), from: int32(op.port)}
+			peer.bindUpstream(ch)
+		case topology.ToNode:
+			// The ejection channel's NI is homed on this switch, so
+			// ejection never crosses a shard boundary.
+			*ch = channel{toSwitch: false, dstNode: e.Node,
+				sh: op.sh, dst: op.sh, fromSw: int32(op.sw), from: int32(op.port)}
 		}
+		op.ch = ch
 	}
+	nis := make([]ni, t.NumNodes)
 	n.nis = make([]*ni, t.NumNodes)
 	for node := 0; node < t.NumNodes; node++ {
 		home := t.NodeSwitch[node]
 		buf := n.switches[home].inBufs[t.NodePort[node]]
-		inj := &channel{toSwitch: true, dstBuf: buf, credits: buf.cap,
-			sh: buf.sh, dst: buf.sh,
-			label: fmt.Sprintf("inj n%d", node)}
+		inj := &chans[wired+node]
+		*inj = channel{toSwitch: true, dstBuf: buf, credits: buf.cap,
+			sh: buf.sh, dst: buf.sh, fromSw: -1, from: int32(node)}
 		buf.bindUpstream(inj)
-		n.nis[node] = newNI(n, topology.NodeID(node), inj)
+		// The receive maps stay nil until the NI's first partial worm or
+		// packet (see ni.flitArrive); most hosts of a large network never
+		// receive.
+		nis[node] = ni{net: n, sh: inj.sh, node: topology.NodeID(node), inj: inj}
+		n.nis[node] = &nis[node]
 	}
 
 	// Up-link adjacency for the tree-worm climb.
@@ -284,9 +307,10 @@ func New(rt *updown.Routing, params Params, seed uint64, opts ...Option) (*Netwo
 	}
 
 	// Hot-path precomputes and scratch (see routecache.go / pool.go).
-	// NodesBySwitch is one O(N+S) pass; per-switch NodesAt calls here
-	// were O(S·N), minutes of setup at datacenter sizes.
-	n.nodesAt = t.NodesBySwitch()
+	// The per-switch node lists are the routing's own, built once with
+	// it. The topology never changes under a network, so reconfiguration
+	// leaves them valid.
+	n.nodesAt = rt.NodesBySwitch()
 	n.hostLo = make([]int32, t.NumSwitches)
 	n.hostHi = make([]int32, t.NumSwitches)
 	for s := 0; s < t.NumSwitches; s++ {
@@ -474,18 +498,6 @@ func (n *Network) msgStart(m *Message) {
 	for i := range m.Plan.HostSends[m.Plan.Source] {
 		src.hostSend(m, &m.Plan.HostSends[m.Plan.Source][i])
 	}
-}
-
-// DeadlockError reports a simulation that stopped making progress with
-// messages still in flight. Drain now diagnoses stalls with the richer
-// StallError; this type remains only for message-format compatibility.
-type DeadlockError struct {
-	At          event.Time
-	Outstanding int
-}
-
-func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("sim: no runnable events at t=%d with %d messages outstanding", e.At, e.Outstanding)
 }
 
 // StuckWorm is one worm the stall watchdog found resident in an input
@@ -703,7 +715,7 @@ func (n *Network) ChannelUsage() []ChannelUse {
 	var out []ChannelUse
 	add := func(ch *channel) {
 		if ch != nil {
-			out = append(out, ChannelUse{Label: ch.label, Flits: ch.busyFlits})
+			out = append(out, ChannelUse{Label: ch.label(), Flits: ch.busyFlits})
 		}
 	}
 	for _, st := range n.switches {

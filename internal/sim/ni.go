@@ -19,11 +19,6 @@ type ni struct {
 	node topology.NodeID
 	inj  *channel // injection line into the home switch
 
-	// dead marks an NI orphaned by its home switch's failure: sends are
-	// failed at the source and arrivals cease (the ejection channel died
-	// with the switch).
-	dead bool
-
 	hostFree event.Time
 	niFree   event.Time
 	busFree  event.Time
@@ -39,25 +34,19 @@ type ni struct {
 	injWait   []*burst
 	injHeld   int
 	streaming bool
+	// dead marks an NI orphaned by its home switch's failure: sends are
+	// failed at the source and arrivals cease (the ejection channel died
+	// with the switch).
+	dead bool
 
-	// Reception state.
+	// Reception state. Each map is nil until its first write (reads,
+	// len, range and delete are all safe on a nil map), so a host that
+	// never receives costs no map at all.
 	rxFlits map[*worm]int    // flits received per in-flight worm
 	rxMsgs  map[*Message]int // packets DMA'd to host per message
 	// rxHeld counts packets assembled at the NI per message, for the
 	// store-and-forward ablation (Params.NIStoreAndForward).
 	rxHeld map[*Message]int
-}
-
-func newNI(net *Network, node topology.NodeID, inj *channel) *ni {
-	return &ni{
-		net:     net,
-		sh:      inj.sh,
-		node:    node,
-		inj:     inj,
-		rxFlits: make(map[*worm]int),
-		rxMsgs:  make(map[*Message]int),
-		rxHeld:  make(map[*Message]int),
-	}
 }
 
 // reserve books dur cycles on a serially reusable resource no earlier than
@@ -247,6 +236,9 @@ func (x *ni) flitArrive(w *worm) {
 		x.packetArrived(w)
 		return
 	}
+	if x.rxFlits == nil {
+		x.rxFlits = make(map[*worm]int)
+	}
 	x.rxFlits[w] = c
 }
 
@@ -282,6 +274,9 @@ func (x *ni) recvProcessed(w *worm) {
 			// Ablation: hold replicas until the whole message is here.
 			held := x.rxHeld[m] + 1
 			if held < m.Packets {
+				if x.rxHeld == nil {
+					x.rxHeld = make(map[*Message]int)
+				}
 				x.rxHeld[m] = held
 			} else {
 				delete(x.rxHeld, m)
@@ -310,6 +305,9 @@ func (x *ni) hostPacketArrived(m *Message) {
 	c := x.rxMsgs[m] + 1
 	x.sh.stats.PacketsToHost++
 	if c < m.Packets {
+		if x.rxMsgs == nil {
+			x.rxMsgs = make(map[*Message]int)
+		}
 		x.rxMsgs[m] = c
 		return
 	}
@@ -486,7 +484,7 @@ func (x *ni) orphan() {
 		}
 	}
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
-	x.rxFlits = make(map[*worm]int)
+	x.rxFlits = nil
 	for _, m := range msgs {
 		n.failDest(m, x.node)
 	}

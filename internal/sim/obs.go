@@ -29,13 +29,13 @@ func (n *Network) attachObs(r *obs.Recorder) {
 			}
 			op.ch.obsID = int32(len(n.obsChans))
 			n.obsChans = append(n.obsChans, op.ch)
-			labels = append(labels, op.ch.label)
+			labels = append(labels, op.ch.label())
 		}
 	}
 	for _, x := range n.nis {
 		x.inj.obsID = int32(len(n.obsChans))
 		n.obsChans = append(n.obsChans, x.inj)
-		labels = append(labels, x.inj.label)
+		labels = append(labels, x.inj.label())
 	}
 	r.AttachNetwork(labels, n.topo.NumSwitches, n.topo.NumNodes)
 	n.engineObsSink(r.EngineSink())

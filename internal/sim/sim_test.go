@@ -713,13 +713,6 @@ func TestOutstandingTracksLifetime(t *testing.T) {
 	}
 }
 
-func TestDeadlockErrorMessage(t *testing.T) {
-	err := &DeadlockError{At: 42, Outstanding: 3}
-	if err.Error() == "" {
-		t.Fatal("empty error text")
-	}
-}
-
 func TestWithRClampsToOne(t *testing.T) {
 	p := DefaultParams().WithR(1000)
 	if p.ONISend != 1 || p.ONIRecv != 1 {

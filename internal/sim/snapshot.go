@@ -236,7 +236,7 @@ func (n *Network) checkQuiescent() ([]event.PendingEvent, error) {
 				return nil, busy("port %d/%d allocated", s, p)
 			}
 			if ch := op.ch; ch != nil && (ch.sender != nil || ch.lineFree > now) {
-				return nil, busy("channel %s busy", ch.label)
+				return nil, busy("channel %s busy", ch.label())
 			}
 		}
 	}

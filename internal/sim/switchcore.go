@@ -14,9 +14,8 @@ import (
 // line into its home switch. A channel carries one flit per cycle and is
 // used by one sender (branch) at a time.
 type channel struct {
-	toSwitch bool
-	dstBuf   *inputBuf       // when toSwitch
-	dstNode  topology.NodeID // when !toSwitch (ejection into an NI)
+	dstBuf  *inputBuf       // when toSwitch
+	dstNode topology.NodeID // when !toSwitch (ejection into an NI)
 
 	// sh owns the channel: the SENDER's shard (credits, line occupancy
 	// and the active-sender slot are all mutated by the pump/grant/
@@ -25,18 +24,38 @@ type channel struct {
 	sh  *shardState
 	dst *shardState
 
-	credits  int // free slots in dstBuf (meaningless for ejection)
-	lineFree event.Time
-	sender   *branch // active sender, for credit wake-ups
+	credits   int // free slots in dstBuf (meaningless for ejection)
+	lineFree  event.Time
+	sender    *branch // active sender, for credit wake-ups
+	busyFlits int64   // flits carried, for utilization reports
 
+	// The small fields share the last words (one channel per wired port
+	// and per host, so padding is paid hundreds of thousands of times).
+	toSwitch bool
 	// dead marks a failed channel: the active sender is torn down at the
 	// break, in-flight flits past it are drained and dropped, and no new
 	// grant streams over it until a repair resets the flag.
 	dead bool
+	// fromSw and from name the sender for label: the sending switch and
+	// port, or fromSw = -1 and the injecting node for an injection line.
+	fromSw, from int32
+	obsID        int32 // index in Network.obsChans; meaningful only while obs is attached
+}
 
-	label     string // "s3p5->s7", "inj n4", "ej n4" — for utilization reports
-	obsID     int32  // index in Network.obsChans; meaningful only while obs is attached
-	busyFlits int64  // flits carried, for utilization reports
+// label names the channel for utilization reports, obs series and
+// diagnostics: "s3p5->s7" (switch 3 port 5 to switch 7), "ej n4"
+// (ejection into node 4's NI) or "inj n4" (node 4's injection line).
+// Formatted on demand; a network holds one channel per wired port and
+// per host, and nothing on the simulation path reads the text.
+func (ch *channel) label() string {
+	switch {
+	case ch.fromSw < 0:
+		return fmt.Sprintf("inj n%d", ch.from)
+	case ch.toSwitch:
+		return fmt.Sprintf("s%dp%d->s%d", ch.fromSw, ch.from, ch.dstBuf.sw)
+	default:
+		return fmt.Sprintf("ej n%d", ch.dstNode)
+	}
 }
 
 // inputBuf is a switch input port's FIFO flit buffer with credit-based

@@ -666,6 +666,12 @@ func (r *Routing) NodePortAt(s topology.SwitchID, n topology.NodeID) int {
 	return -1
 }
 
+// NodesBySwitch returns the attached nodes of every switch, ascending by
+// node ID (topology.NodesBySwitch, computed once when the routing is
+// built). The slices are shared with the routing and must be treated as
+// read-only.
+func (r *Routing) NodesBySwitch() [][]topology.NodeID { return r.nodesBySwitch }
+
 // NextHops returns the adaptive candidate output ports at switch s, in
 // phase ph, for a packet headed to switch d: every port whose traversal is
 // legal and lies on a shortest remaining legal route. The resulting phase
